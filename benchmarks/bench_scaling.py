@@ -31,7 +31,7 @@ def one_step_spec(n_processes):
 
 
 def test_explorer_factorial_frontier(benchmark):
-    """5 one-step processes: 120 leaves, 326 interior replays."""
+    """5 one-step processes: 120 leaves, 325 tree edges stepped once each."""
 
     def run():
         explorer = Explorer(one_step_spec(5), max_depth=6)

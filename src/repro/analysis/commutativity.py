@@ -186,27 +186,6 @@ def _pair_ok(
     return True, "ok"
 
 
-def _quiet_replay(spec: Any, decisions: Sequence[Tuple[int, int]]) -> Any:
-    """Replay a decision sequence on a fresh system with the ``replaying``
-    attribution flag set for the whole run, so audit probes never count
-    as on-path work in step telemetry.  Deliberately does **not** charge
-    any fault budget: probes must not be able to flip a budget-bounded
-    verdict to INCONCLUSIVE."""
-    from repro.runtime.execution import CRASH_CHOICE
-
-    system = spec.build()
-    system.replaying = True
-    try:
-        for pid, choice in decisions:
-            if choice == CRASH_CHOICE:
-                system.crash(pid)
-            else:
-                system.step(pid, choice)
-    finally:
-        system.replaying = False
-    return system
-
-
 def classify_adjacent_pair(
     spec: Any, decisions: Sequence[Tuple[int, int]], index: int
 ) -> str:
@@ -225,7 +204,10 @@ def classify_adjacent_pair(
 
     ``spec`` is a :class:`~repro.runtime.system.SystemSpec`;
     ``decisions`` a :attr:`~repro.runtime.execution.Execution.full_decisions`
-    sequence (crash decisions participate).  Returns one of
+    sequence (crash and recovery decisions participate).  Probes replay
+    with the ``replaying`` attribution flag set and charge no budget, so
+    they never count as on-path work nor flip a budget-bounded verdict.
+    Returns one of
     :data:`PAIR_COMMUTE`, :data:`PAIR_STATE_DIVERGES`,
     :data:`PAIR_SWAP_ILLEGAL`, :data:`PAIR_SAME_PROCESS`.
     """
@@ -242,10 +224,10 @@ def classify_adjacent_pair(
         return PAIR_SAME_PROCESS
     prefix = list(decisions[:index])
     try:
-        swapped = _quiet_replay(spec, prefix + [second, first])
+        swapped = spec.replay(prefix + [second, first], replaying=True)
     except (SchedulingError, ProtocolError, IllegalOperationError):
         return PAIR_SWAP_ILLEGAL
-    original = _quiet_replay(spec, prefix + [first, second])
+    original = spec.replay(prefix + [first, second], replaying=True)
     if configuration_fingerprint(original) == configuration_fingerprint(swapped):
         return PAIR_COMMUTE
     return PAIR_STATE_DIVERGES

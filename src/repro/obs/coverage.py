@@ -6,7 +6,7 @@ module turns the observables the walk *does* have into a live estimate:
 
 * **rate** — an exponentially-weighted moving average of executions per
   second, computed from successive heartbeats (robust to the bursty
-  progress of replay-based DFS);
+  progress of DFS);
 * **remaining work** — a frontier-weighted bound: every pending prefix at
   depth ``d`` is assumed to expand into roughly ``b ** (L - d)`` maximal
   executions, where ``b`` is the mean branching factor observed so far

@@ -17,7 +17,7 @@ Well-known metric names (see docs/OBSERVABILITY.md):
 name                      kind        meaning
 ========================  ==========  ==========================================
 ``steps_total``           counter     simulator steps, by pid/object/method
-``steps_replayed_total``  counter     steps re-executed by ``Explorer._replay``
+``steps_replayed_total``  counter     prefix steps the explorer re-executed
 ``decisions_total``       counter     scheduler decisions, by pid
 ``schedules_explored``    counter     maximal executions enumerated
 ``schedules_truncated``   counter     executions cut off by the depth bound

@@ -14,11 +14,11 @@ Two questions it answers that raw counters cannot:
 * **where do steps go?** — ``folded_stacks()`` exports collapsed stacks
   (``span;span;object.method count``) in the format flamegraph.pl and
   speedscope consume (``repro stats TRACE --flame out.folded``);
-* **what does fork-by-replay cost?** — the explorer marks re-executed
-  prefix steps with ``replay=True`` (see
-  :meth:`repro.runtime.explorer.Explorer._replay`), so
-  :meth:`Profiler.replay_overhead` reports redundant steps per useful
-  step, matching ``Explorer.stats.replay_overhead``.
+* **what does replay cost?** — the explorer marks re-executed prefix
+  steps (a resumed walk's unmarked frontier prefixes) with
+  ``replay=True`` (see :meth:`repro.runtime.explorer.Explorer._descend`),
+  so :meth:`Profiler.replay_overhead` reports redundant steps per
+  useful step, matching ``Explorer.stats.replay_overhead``.
 """
 
 from __future__ import annotations

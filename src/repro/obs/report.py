@@ -76,7 +76,7 @@ def _summary_section(registry: MetricsRegistry, profiler: Profiler) -> List[str]
     rows: List[Tuple[str, str, str]] = []  # (label, value, css class)
     steps = registry.counter_total("steps_total")
     rows.append(("simulator steps", f"{steps:,}", ""))
-    if profiler.steps_replayed:
+    if profiler.steps_on_path:
         rows.append(
             (
                 "replay overhead",

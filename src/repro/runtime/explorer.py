@@ -7,10 +7,15 @@ every maximal execution.  Theorem-level claims ("every execution decides at
 most k values", "this implementation is linearizable in every execution")
 become terminating checks.
 
-Because Python generators cannot be forked, branches are replayed from the
-initial configuration rather than deep-copied.  The cost is
-O(nodes x depth); with the depths used by the experiments (tens of steps)
-this is the pragmatic trade-off — see DESIGN.md, "Key design decisions".
+Python generators cannot be forked, so the walk drives one live system
+and backtracks by *rewinding* it to a configuration marked on the way
+down (:meth:`~repro.runtime.system.System.mark` /
+:meth:`~repro.runtime.system.System.rewind`): object states are
+immutable values, and a process's control state is a function of its
+program and the responses it received since its last recovery, so only
+processes that moved below the mark are re-primed.  Every edge of the
+tree is stepped once; marks are held for the current path only, so
+memory stays O(depth) — see DESIGN.md, "Key design decisions".
 
 Three robustness dimensions ride on the same walk (see docs/ROBUSTNESS.md):
 
@@ -54,7 +59,7 @@ from repro.obs import events as _obs_events
 from repro.obs.coverage import CoverageEstimator
 from repro.runtime.execution import CRASH_CHOICE, RECOVER_CHOICE, Execution
 from repro.runtime.process import ProcessStatus
-from repro.runtime.system import System, SystemSpec
+from repro.runtime.system import Mark, System, SystemSpec
 
 #: (pid, outcome choice) — CRASH_CHOICE = crash, RECOVER_CHOICE = recover
 Decision = Tuple[int, int]
@@ -69,12 +74,15 @@ class ExplorationStatistics:
 
     ``steps_on_path`` counts first-time steps (one per tree edge — the
     decision appended when a node is first visited); ``steps_replayed``
-    counts the redundant re-executions of earlier prefix decisions that
-    the replay-based walk pays for them.  Their sum is every simulator
-    step the exploration actually executed, which matches the event-
-    derived ``steps_total`` when a sink is attached.  Crash decisions are
-    tracked separately (``faults_injected`` counts first-time crash
-    branches taken; re-applying a crash during replay is not a step).
+    counts re-executions of prefix decisions.  A fresh walk rewinds to
+    the parent of every node it visits and replays nothing; a walk
+    resumed from a checkpoint replays the interior of a frontier prefix
+    only until its nodes are marked (at most the summed frontier prefix
+    lengths).  Their sum is every simulator step the exploration
+    actually executed, which matches the event-derived ``steps_total``
+    when a sink is attached.  Crash decisions are tracked separately
+    (``faults_injected`` counts first-time crash branches taken;
+    re-applying a crash during replay is not a step).
     """
 
     executions: int = 0
@@ -101,8 +109,8 @@ class ExplorationStatistics:
 
     @property
     def replay_overhead(self) -> float:
-        """Redundant steps per useful step — the price of the
-        fork-by-replay design (0.0 when nothing was explored)."""
+        """Redundant steps per useful step (0.0 when nothing was
+        explored or replayed)."""
         if not self.steps_on_path:
             return 0.0
         return self.steps_replayed / self.steps_on_path
@@ -399,38 +407,60 @@ class Explorer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _replay(self, decisions: List[Decision], fresh: int = 0) -> System:
-        """Rebuild a system at ``decisions``; the final ``fresh`` decisions
-        are first-time (on-path) steps, everything before them is replay
-        overhead.  The system's ``replaying`` flag tracks the boundary so
-        step events carry the attribution."""
-        system = self.spec.build()
-        replayed = len(decisions) - fresh
+    def _descend(
+        self, system: System, marks: List[Mark], path: List[Decision],
+        prefix: List[Decision],
+    ) -> None:
+        """Bring ``system`` to node ``prefix`` by rewinding, not rebuilding.
+
+        ``marks[i]`` remembers the configuration after ``path[:i]``, the
+        live DFS path.  Rewind to the deepest mark that ``prefix``'s
+        parent extends (in a fresh walk: the parent itself), then step
+        the rest, marking each interior node on the way.  Those interior
+        decisions are replay overhead — only a resumed frontier's first
+        prefixes have any; the final decision is the one first-time
+        (on-path) step.  The system's ``replaying`` flag tracks the
+        boundary so step events carry the attribution.
+        """
+        last = len(prefix) - 1
+        k = min(last, len(path))
+        if k > 0 and prefix[:k] != path[:k]:
+            k = 0
+            while prefix[k] == path[k]:
+                k += 1
+        k = max(k, 0)
+        del marks[k + 1:]
+        del path[k:]
+        system.rewind(marks[k])
         steps_replayed = 0
         steps_fresh = 0
-        for index, (pid, choice) in enumerate(decisions):
+        for index in range(k, len(prefix)):
+            decision = prefix[index]
+            pid, choice = decision
+            fresh = index == last
             if choice == CRASH_CHOICE:
                 system.crash(pid)
-                if index >= replayed:
+                if fresh:
                     self.stats.faults_injected += 1
-                continue
-            if choice == RECOVER_CHOICE:
+            elif choice == RECOVER_CHOICE:
                 system.recover(pid)
-                if index >= replayed:
+                if fresh:
                     self.stats.recoveries_injected += 1
-                continue
-            system.replaying = index < replayed
-            system.step(pid, choice)
-            if index < replayed:
-                steps_replayed += 1
             else:
-                steps_fresh += 1
+                system.replaying = not fresh
+                system.step(pid, choice)
+                if fresh:
+                    steps_fresh += 1
+                else:
+                    steps_replayed += 1
+            if not fresh:
+                path.append(decision)
+                marks.append(system.mark())
         system.replaying = False
         self.stats.steps_replayed += steps_replayed
         self.stats.steps_on_path += steps_fresh
         if self._budget is not None:
             self._budget.charge_steps(steps_replayed + steps_fresh)
-        return system
 
     def _branches(self, system: System, prefix: List[Decision]) -> List[Decision]:
         enabled = system.enabled_pids()
@@ -505,6 +535,10 @@ class Explorer:
         since_checkpoint = 0
         self._walk_started = self._clock()
         self._last_heartbeat = self._walk_started
+        # The one live system and the marks along its DFS path (O(depth)).
+        system: Optional[System] = None
+        marks: List[Mark] = []
+        path: List[Decision] = []
         while stack:
             observed = _obs_events.is_enabled()
             if budget is not None:
@@ -513,7 +547,10 @@ class Explorer:
                     self._interrupt(reason, observed)
                     return
             prefix = stack.pop()
-            system = self._replay(prefix, fresh=1 if prefix else 0)
+            if system is None:
+                system = self.spec.build()
+                marks.append(system.mark())
+            self._descend(system, marks, path, prefix)
             self.stats.max_depth_seen = max(self.stats.max_depth_seen, len(prefix))
             branches = self._branches(system, prefix)
             if self.auditor is not None:
@@ -527,6 +564,9 @@ class Explorer:
                 self._branch_nodes += 1
                 for decision in reversed(branches):
                     stack.append(prefix + [decision])
+                if prefix:
+                    path.append(prefix[-1])
+                    marks.append(system.mark())
                 # A quiescent configuration whose only branches are
                 # recoveries is *also* maximal: the adversary may decline
                 # to revive anyone, so the crash-stop outcome stays in

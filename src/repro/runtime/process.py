@@ -19,6 +19,10 @@ from repro.runtime.ops import Annotation, Operation
 
 ProgramFactory = Callable[[], Generator]
 
+#: ``(status, output, pending operation, steps_taken, generator)`` — see
+#: :meth:`Process.snapshot`.
+ProcessSnapshot = Tuple[Any, Any, Optional[Operation], int, Optional[Generator]]
+
 
 class ProcessStatus(enum.Enum):
     """Lifecycle of a simulated process."""
@@ -45,7 +49,8 @@ class Process:
     factory:
         Zero-argument callable returning a fresh generator for the program.
         Keeping the factory (rather than the generator) is what allows
-        replay-based exploration to rebuild identical systems.
+        replay and rewinding (:meth:`restore`) to rebuild identical
+        control states.
     """
 
     def __init__(self, pid: int, factory: ProgramFactory):
@@ -137,6 +142,64 @@ class Process:
         """Park the process forever (object-misuse 'hang' semantics)."""
         self.status = ProcessStatus.BLOCKED
         self._pending = None
+
+    # ------------------------------------------------------------------
+    # Rewind support (see System.mark / System.rewind)
+    # ------------------------------------------------------------------
+    def snapshot(self) -> "ProcessSnapshot":
+        """Everything :meth:`restore` needs to return here later.  Holds
+        the live generator itself: it is still valid at restore time
+        exactly when it has not been advanced or replaced since."""
+        return (
+            self.status, self.output, self._pending, self.steps_taken,
+            self._generator,
+        )
+
+    def restore(
+        self, saved: "ProcessSnapshot", responses: Callable[[], List[Any]]
+    ) -> "ProcessSnapshot":
+        """Return to the control state ``saved`` and give back the
+        snapshot to use from now on.
+
+        A process whose generator is the saved one and whose step count
+        did not move since is restored field by field.  A poised process
+        whose generator ran on (it stepped) or was replaced (it
+        recovered) is re-primed from its factory and re-fed
+        ``responses()`` — the responses delivered to it since its last
+        recovery, in order.  Programs are deterministic functions of
+        their responses, so the new generator stands where the old one
+        stood; its pending operation must equal the saved one, or
+        :class:`~repro.errors.ProtocolError` is raised.  Annotations the
+        re-feed emits are discarded (the trace already holds them).
+        The returned snapshot carries the new generator, so restoring
+        it again leaves an untouched process alone.
+        """
+        status, output, pending, steps_taken, generator = saved
+        if status is ProcessStatus.POISED and (
+            generator is not self._generator or steps_taken != self.steps_taken
+        ):
+            self.status = ProcessStatus.PENDING
+            self.prime()
+            for response in responses():
+                if self.status is not ProcessStatus.POISED:
+                    break
+                self._advance(response, first=False)
+            self.fresh_annotations.clear()
+            if self.status is not ProcessStatus.POISED or self._pending != pending:
+                raise ProtocolError(
+                    f"process {self.pid} re-fed its responses reached "
+                    f"{self._pending or self.status.value}, not {pending}: "
+                    "its program is not a deterministic function of the "
+                    "responses delivered to it"
+                )
+            generator = self._generator
+            saved = (status, output, pending, steps_taken, generator)
+        self.status = status
+        self.output = output
+        self._pending = pending
+        self.steps_taken = steps_taken
+        self._generator = generator
+        return saved
 
     # ------------------------------------------------------------------
     # Internals

@@ -64,23 +64,67 @@ class SystemSpec:
         """Build a fresh system and run it to quiescence under ``scheduler``."""
         return self.build().run(scheduler, max_steps=max_steps)
 
-    def replay(self, decisions: Iterable[Tuple[int, int]]) -> "System":
+    def replay(
+        self, decisions: Iterable[Tuple[int, int]], replaying: bool = False
+    ) -> "System":
         """Build a fresh system and apply the given ``(pid, choice)``
         decision sequence (e.g. from :attr:`Execution.decisions` or
         :attr:`Execution.full_decisions`).  A choice of
         :data:`~repro.runtime.execution.CRASH_CHOICE` crash-stops the
         pid instead of stepping it, and
         :data:`~repro.runtime.execution.RECOVER_CHOICE` revives it with
-        amnesia — so faulty runs replay exactly."""
+        amnesia — so faulty runs replay exactly.  ``replaying`` sets the
+        system's attribution flag for the duration, so probes (e.g. the
+        audit's pair checks) never count as on-path work in step
+        telemetry.  No budget is charged."""
         system = self.build()
-        for pid, choice in decisions:
-            if choice == CRASH_CHOICE:
-                system.crash(pid)
-            elif choice == RECOVER_CHOICE:
-                system.recover(pid)
-            else:
-                system.step(pid, choice)
+        system.replaying = replaying
+        try:
+            for pid, choice in decisions:
+                if choice == CRASH_CHOICE:
+                    system.crash(pid)
+                elif choice == RECOVER_CHOICE:
+                    system.recover(pid)
+                else:
+                    system.step(pid, choice)
+        finally:
+            system.replaying = False
         return system
+
+
+def _responses_since_recovery(
+    steps: List[StepRecord], recoveries: List[Tuple[int, int]], pid: int
+) -> List[Any]:
+    """The responses ``pid``'s current incarnation has received, in order."""
+    since = max((at for at, p in recoveries if p == pid), default=0)
+    return [step.response for step in steps[since:] if step.pid == pid]
+
+
+class Mark:
+    """A configuration remembered by :meth:`System.mark`.
+
+    Holds a shallow copy of the object states (they are immutable
+    values), the lengths of the trace's lists, copies of the final-status
+    and output maps, and one :meth:`Process.snapshot` per process.
+    :meth:`System.rewind` updates ``processes`` after a re-prime.
+    """
+
+    __slots__ = (
+        "object_states", "steps", "crashes", "recoveries", "annotations",
+        "statuses", "outputs", "processes", "last_step",
+    )
+
+    def __init__(self, object_states, steps, crashes, recoveries,
+                 annotations, statuses, outputs, processes, last_step):
+        self.object_states = object_states
+        self.steps = steps
+        self.crashes = crashes
+        self.recoveries = recoveries
+        self.annotations = annotations
+        self.statuses = statuses
+        self.outputs = outputs
+        self.processes = processes
+        self.last_step = last_step
 
 
 class System:
@@ -102,6 +146,9 @@ class System:
         self.trace = Execution()
         for process in self.processes:
             self._prime_and_drain(process)
+        #: The mark this configuration still equals, with a trace not yet
+        #: handed out by :meth:`finalize` — rewinding to it is a no-op.
+        self._at_mark: Optional["Mark"] = None
 
     # ------------------------------------------------------------------
     # Configuration inspection
@@ -205,6 +252,7 @@ class System:
     def step(self, pid: int, choice: int = 0) -> StepRecord:
         """Let ``pid`` perform its pending operation, selecting outcome
         ``choice`` if the object is nondeterministic."""
+        self._at_mark = None
         process = self.processes[pid]
         if process.status is not ProcessStatus.POISED:
             raise SchedulingError(
@@ -273,6 +321,7 @@ class System:
         """Crash-stop process ``pid`` (no-op on already-dead processes,
         so schedulers may re-assert a crash without corrupting the
         trace's crash record)."""
+        self._at_mark = None
         process = self.processes[pid]
         if not process.is_live:
             return
@@ -289,6 +338,7 @@ class System:
         not crashed, mirroring :meth:`crash`'s no-op tolerance so
         schedulers may re-assert a recovery without corrupting the
         trace's recovery record."""
+        self._at_mark = None
         process = self.processes[pid]
         if process.status is not ProcessStatus.CRASHED:
             return
@@ -297,6 +347,66 @@ class System:
         self._prime_and_drain(process)
         if _obs_events.is_enabled():
             _obs_events.emit("recover", pid=pid, at_step=len(self.trace.steps))
+
+    # ------------------------------------------------------------------
+    # Backtracking
+    # ------------------------------------------------------------------
+    def mark(self) -> "Mark":
+        """Remember the current configuration so :meth:`rewind` can
+        return to it.  O(processes + objects): object states are
+        immutable values and the trace only grows, so a mark copies the
+        state mapping and a few lengths, not the history."""
+        trace = self.trace
+        mark = self._at_mark = Mark(
+            object_states=dict(self.object_states),
+            steps=len(trace.steps),
+            crashes=len(trace.crashes),
+            recoveries=len(trace.recoveries),
+            annotations=len(trace.annotations),
+            statuses=dict(trace.statuses),
+            outputs=dict(trace.outputs),
+            processes=[process.snapshot() for process in self.processes],
+            last_step=trace.steps[-1] if trace.steps else None,
+        )
+        return mark
+
+    def rewind(self, mark: "Mark") -> None:
+        """Return to the configuration ``mark`` was taken at.
+
+        ``mark`` must lie on the current history — taken on this system
+        at or before the present, with no rewind to an earlier mark in
+        between.  The system gets a *new* :class:`Execution` built from
+        slices of the current trace, so an execution handed out earlier
+        (e.g. by :meth:`finalize`) is never mutated.  Processes that did
+        not move since the mark are left alone; the others are restored
+        as :meth:`Process.restore` describes, re-fed their own responses
+        since their last recovery (amnesia: earlier incarnations'
+        responses are dead history).
+        """
+        if mark is self._at_mark:
+            return
+        trace = self.trace
+        if mark.steps > len(trace.steps) or (
+            mark.steps and trace.steps[mark.steps - 1] is not mark.last_step
+        ):
+            raise SchedulingError("cannot rewind to a mark off the current history")
+        steps = trace.steps[: mark.steps]
+        recoveries = trace.recoveries[: mark.recoveries]
+        self.trace = Execution(
+            steps=steps,
+            outputs=dict(mark.outputs),
+            statuses=dict(mark.statuses),
+            annotations=trace.annotations[: mark.annotations],
+            crashes=trace.crashes[: mark.crashes],
+            recoveries=recoveries,
+        )
+        self.object_states = dict(mark.object_states)
+        for pid, process in enumerate(self.processes):
+            mark.processes[pid] = process.restore(
+                mark.processes[pid],
+                lambda pid=pid: _responses_since_recovery(steps, recoveries, pid),
+            )
+        self._at_mark = mark
 
     def run(self, scheduler, max_steps: int = 100_000, budget=None) -> Execution:
         """Drive the system with ``scheduler`` until quiescence or budget.
@@ -360,6 +470,7 @@ class System:
 
     def finalize(self) -> Execution:
         """Record final statuses/outputs into the trace and return it."""
+        self._at_mark = None
         for process in self.processes:
             self.trace.statuses[process.pid] = process.status
             if process.status is ProcessStatus.DONE:

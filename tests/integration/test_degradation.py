@@ -80,7 +80,7 @@ class TestExploreCheckpointResume:
         code = main(
             [
                 "explore", "--task", "set-consensus", "--n", "2", "--k", "1",
-                "--checkpoint", path, "--max-steps", "2000",
+                "--checkpoint", path, "--max-steps", "1000",
             ]
         )
         out = capsys.readouterr().out

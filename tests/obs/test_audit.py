@@ -24,6 +24,7 @@ from repro.obs.audit import StateAuditor, render_table, run_audit
 from repro.obs.live import StatusBoard
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import render_audit_html, render_html
+from repro.runtime.execution import RECOVER_CHOICE
 from repro.runtime.explorer import Explorer
 
 INPUTS3 = ["v0", "v1", "v2"]
@@ -160,6 +161,24 @@ class TestPairClassification:
             PAIR_STATE_DIVERGES,
             PAIR_SWAP_ILLEGAL,
         }
+
+    def test_recovery_pairs_can_commute(self):
+        """A recovery decision replays as a recovery, never as a step of
+        the crashed pid: reviving a dead process next to another
+        process's step commutes, so not every recovery-touching pair is
+        swap-illegal."""
+        spec = small_spec(INPUTS3)
+        verdicts = {}
+        explorer = Explorer(spec, max_depth=20, max_crashes=1, max_recoveries=1)
+        for execution in explorer.executions():
+            decisions = execution.full_decisions
+            for index in range(len(decisions) - 1):
+                (p, a), (q, b) = decisions[index], decisions[index + 1]
+                if p != q and RECOVER_CHOICE in (a, b):
+                    verdict = classify_adjacent_pair(spec, decisions, index)
+                    verdicts[verdict] = verdicts.get(verdict, 0) + 1
+        assert verdicts.get(PAIR_COMMUTE, 0) > 0
+        assert verdicts.get(PAIR_SWAP_ILLEGAL, 0) < sum(verdicts.values())
 
     def test_pair_tallies_are_consistent(self):
         auditor, _ = run_audit(small_spec(INPUTS4), max_depth=20)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms.helpers import build_spec
+from repro.faults.checkpoint import Checkpoint
 from repro.obs import events
 from repro.obs.events import JsonlSink, RingBufferSink, read_jsonl
 from repro.obs.metrics import MetricsRegistry
@@ -125,25 +126,33 @@ class TestAccountingConsistency:
     otherwise profiler numbers cannot be trusted."""
 
     def test_events_match_explorer_stats(self):
-        sink = RingBufferSink(capacity=100_000)
-        explorer = Explorer(two_process_spec())
-        with events.use_sink(sink):
-            with span("explore"):
-                list(explorer.executions())
-        profiler = Profiler()
-        registry = MetricsRegistry()
-        for name, fields in sink.events:
-            profiler.consume_event(name, fields)
-            registry.consume_event(name, fields)
-        stats = explorer.stats
-        assert stats.steps_on_path > 0 and stats.steps_replayed > 0
-        # the event stream and the explorer's own counters agree exactly
-        assert profiler.steps_total == stats.steps_replayed + stats.steps_on_path
-        assert profiler.steps_replayed == stats.steps_replayed
-        assert profiler.steps_on_path == stats.steps_on_path
-        assert registry.counter_total("steps_total") == stats.steps_total
-        assert registry.counter_total("steps_replayed_total") == stats.steps_replayed
-        assert profiler.replay_overhead() == stats.replay_overhead
+        # A fresh walk replays nothing; a resumed one replays the
+        # interior of its first frontier prefix ((0, 0) here), so both
+        # sides of the ``replay: true`` attribution are exercised.
+        resumed = Explorer.from_checkpoint(
+            two_process_spec(),
+            Checkpoint(n_processes=2, frontier=[[(1, 0)], [(0, 0), (1, 0)]]),
+        )
+        for explorer in (Explorer(two_process_spec()), resumed):
+            sink = RingBufferSink(capacity=100_000)
+            with events.use_sink(sink):
+                with span("explore"):
+                    list(explorer.executions())
+            profiler = Profiler()
+            registry = MetricsRegistry()
+            for name, fields in sink.events:
+                profiler.consume_event(name, fields)
+                registry.consume_event(name, fields)
+            stats = explorer.stats
+            assert stats.steps_on_path > 0
+            # the event stream and the explorer's own counters agree exactly
+            assert profiler.steps_total == stats.steps_replayed + stats.steps_on_path
+            assert profiler.steps_replayed == stats.steps_replayed
+            assert profiler.steps_on_path == stats.steps_on_path
+            assert registry.counter_total("steps_total") == stats.steps_total
+            assert registry.counter_total("steps_replayed_total") == stats.steps_replayed
+            assert profiler.replay_overhead() == stats.replay_overhead
+        assert resumed.stats.steps_replayed > 0
 
     def test_live_collection_matches_jsonl_replay(self, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -204,10 +204,11 @@ class TestResume:
             tuple(e.full_decisions)
             for e in Explorer(spec, max_crashes=1).executions()
         }
+        # The whole walk executes 32 steps; cut it about half-way.
         interrupted = Explorer(
             spec,
             max_crashes=1,
-            budget=Budget(max_steps=100),
+            budget=Budget(max_steps=16),
             checkpoint_path=path,
         )
         visited = {tuple(e.full_decisions) for e in interrupted.executions()}

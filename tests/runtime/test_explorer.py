@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.errors import ExplorationLimitError
+from repro.faults.checkpoint import Checkpoint
 from repro.objects.register import RegisterSpec
 from repro.objects.set_consensus import SetConsensusSpec
 from repro.runtime.explorer import (
@@ -42,6 +43,27 @@ def race_spec():
         return run
 
     return SystemSpec({"r": RegisterSpec()}, [program(0), program(1)])
+
+
+def resumed_explorer():
+    """An explorer resuming one_step_spec(3) after the [0, 1] subtree."""
+    checkpoint = Checkpoint(
+        n_processes=3, frontier=[[(2, 0)], [(1, 0)], [(0, 0), (2, 0)]]
+    )
+    return Explorer.from_checkpoint(one_step_spec(3), checkpoint)
+
+
+def count_builds(monkeypatch):
+    """Count SystemSpec.build calls; returns a one-element list."""
+    built = [0]
+    original = SystemSpec.build
+
+    def build(self):
+        built[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(SystemSpec, "build", build)
+    return built
 
 
 class TestEnumeration:
@@ -139,20 +161,44 @@ class TestBounds:
         list(explorer.executions())
         assert explorer.stats.executions == 6
         assert explorer.stats.max_depth_seen == 3
-        assert explorer.stats.steps_replayed > 0
+        assert explorer.stats.steps_on_path == 15
+        resumed = resumed_explorer()
+        list(resumed.executions())
+        assert resumed.stats.executions == 5
+        assert resumed.stats.steps_replayed > 0
 
-    def test_on_path_vs_replayed_accounting(self):
+    def test_on_path_vs_replayed_accounting(self, monkeypatch):
         """The decision tree of one_step_spec(3) has 1+3+6+6 = 16 nodes.
         Each non-root node contributes exactly one first-time (on-path)
-        step; total executed steps are sum(depth) over nodes = 33, so 18
-        are redundant replays of earlier prefix decisions."""
+        step.  A fresh walk rewinds to the parent of every node it pops,
+        so it replays nothing and builds a single system."""
+        built = count_builds(monkeypatch)
         explorer = Explorer(one_step_spec(3))
         list(explorer.executions())
         stats = explorer.stats
         assert stats.steps_on_path == 15
-        assert stats.steps_replayed == 18
-        assert stats.steps_total == 33
-        assert stats.replay_overhead == pytest.approx(18 / 15)
+        assert stats.steps_replayed == 0
+        assert stats.steps_total == 15
+        assert stats.replay_overhead == 0.0
+        assert built == [1]
+
+    def test_resumed_walk_replays_only_unmarked_prefixes(self, monkeypatch):
+        """Resume one_step_spec(3) from the frontier (top last)
+        [[2], [1], [0, 2]].  The first pop, [0, 2], finds only the root
+        marked: stepping 0 is the one replayed step (then marked), 2 is
+        on-path.  Its child [0, 2, 1] extends the live path: 1 on-path
+        step.  [1] and [2] rewind to the root and walk their 5-node
+        subtrees on-path.  So 1 replayed, 2 + 5 + 5 = 12 on-path, 1 + 2 + 2
+        = 5 executions, still one system built."""
+        built = count_builds(monkeypatch)
+        explorer = resumed_explorer()
+        executions = list(explorer.executions())
+        stats = explorer.stats
+        assert stats.steps_replayed == 1
+        assert stats.steps_on_path == 12
+        assert stats.executions == len(executions) == 5
+        assert built == [1]
+        assert executions[0].schedule == [0, 2, 1]
 
     def test_statistics_merge_includes_on_path(self):
         first = Explorer(one_step_spec(2))

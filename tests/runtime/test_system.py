@@ -190,3 +190,98 @@ class TestRunAndReplay:
         execution = system.finalize()
         assert execution.statuses[0] is ProcessStatus.CRASHED
         assert execution.outputs[1] == "init"
+
+
+def counting_spec(primes):
+    """Two processes that write, read, then write what they read; each
+    program start is counted in ``primes[pid]``."""
+
+    def program(pid):
+        def run():
+            primes[pid] += 1
+            yield invoke("r", "write", pid)
+            seen = yield invoke("r", "read")
+            yield invoke("r", "write", (pid, seen))
+            return seen
+
+        return run
+
+    return SystemSpec({"r": RegisterSpec()}, [program(0), program(1)])
+
+
+class TestMarkAndRewind:
+    def test_rewind_restores_the_marked_configuration(self):
+        system = counting_spec([0, 0]).build()
+        system.step(0)
+        mark = system.mark()
+        before = system.configuration()
+        system.step(1)
+        system.step(0)
+        system.crash(1)
+        system.rewind(mark)
+        assert system.configuration() == before
+        assert system.trace.decisions == [(0, 0)]
+        assert not system.trace.crashes
+
+    def test_handed_out_execution_is_never_mutated(self):
+        system = counting_spec([0, 0]).build()
+        mark = system.mark()
+        system.step(0)
+        handed_out = system.finalize()
+        system.rewind(mark)
+        system.step(1)
+        system.step(1)
+        assert handed_out.decisions == [(0, 0)]
+        assert system.trace.decisions == [(1, 0), (1, 0)]
+
+    def test_only_moved_processes_are_reprimed_once(self):
+        primes = [0, 0]
+        system = counting_spec(primes).build()
+        mark = system.mark()
+        system.step(0)
+        system.rewind(mark)
+        assert primes == [2, 1]  # p0 moved and was re-primed; p1 untouched
+        system.step(1)
+        system.rewind(mark)
+        # p0's re-primed generator was stored in the mark: left alone now
+        assert primes == [2, 2]
+
+    def test_recovered_process_is_refed_only_its_new_responses(self):
+        system = counting_spec([0, 0]).build()
+        system.step(0)
+        system.step(0)  # p0 reads its own write
+        system.crash(0)
+        system.recover(0)
+        system.step(1)
+        system.step(0)  # the new incarnation writes again
+        mark = system.mark()
+        before = system.configuration()
+        system.step(0)
+        system.rewind(mark)
+        assert system.configuration() == before
+        system.step(0)
+        assert system.processes[0].pending_operation == invoke("r", "write", (0, 0))
+
+    def test_nondeterministic_program_is_rejected(self):
+        flips = iter([1, 2, 3])
+
+        def unstable():
+            first = next(flips)
+            yield invoke("r", "write", first)
+            yield invoke("r", "write", "again")
+
+        system = SystemSpec({"r": RegisterSpec()}, [unstable]).build()
+        mark = system.mark()
+        system.step(0)
+        with pytest.raises(ProtocolError, match="not a deterministic function"):
+            system.rewind(mark)
+
+    def test_mark_off_the_current_history_is_rejected(self):
+        system = counting_spec([0, 0]).build()
+        root = system.mark()
+        system.step(0)
+        below = system.mark()
+        system.rewind(root)
+        system.step(1)
+        with pytest.raises(SchedulingError, match="off the current history"):
+            system.rewind(below)
