@@ -141,7 +141,6 @@ from repro.obs import ledger as run_ledger
 from repro.obs.bench import DEFAULT_HISTORY as bench_default_history
 from repro.obs.bench import main as bench_compare_main
 from repro.obs.events import JsonlReadStats, JsonlSink, read_jsonl, set_sink
-from repro.obs.live import serve as serve_live
 from repro.obs.metrics import MetricsRegistry, get_registry, reset_registry
 from repro.obs.profile import Profiler
 from repro.obs.progress import ProgressReporter
@@ -150,6 +149,7 @@ from repro.obs.spans import span
 
 from repro.algorithms.helpers import inputs_dict
 from repro.algorithms.set_consensus_from_family import (
+    EXPLORE_TASKS,
     consensus_spec,
     set_consensus_spec,
 )
@@ -222,17 +222,6 @@ def cmd_check(args) -> int:
         f"{'OK' if full.ok else 'FAILED: ' + full.reason}"
     )
     return 0 if report.ok and full.ok else 1
-
-
-#: Spec builders the explore command (and its checkpoints) can name.
-EXPLORE_TASKS = {
-    "set-consensus": lambda n, k: set_consensus_spec(
-        n, k, [f"v{i}" for i in range(FamilyMember(n, k).ports)]
-    ),
-    "consensus": lambda n, k: consensus_spec(
-        n, k, [f"v{i}" for i in range(n)]
-    ),
-}
 
 
 def _explore_execset_recorder(args, task, n, k, inputs, checkpoint=None):
@@ -317,9 +306,13 @@ def cmd_explore(args) -> int:
         # CLI flags override nothing that identifies the spec: the
         # checkpoint's own provenance wins, so a bare --resume works.
         task = checkpoint.spec.get("task", args.task)
+        if task not in EXPLORE_TASKS:
+            print(f"explore: cannot resume: unknown task {task!r}",
+                  file=sys.stderr)
+            return 2
         n = int(checkpoint.spec.get("n", args.n))
         k = int(checkpoint.spec.get("k", args.k))
-        spec, inputs = _audit_spec(task, n, k)
+        spec, inputs = EXPLORE_TASKS[task](n, k)
         execset = _explore_execset_recorder(
             args, task, n, k, inputs, checkpoint=checkpoint
         )
@@ -338,7 +331,7 @@ def cmd_explore(args) -> int:
         )
     else:
         task, n, k = args.task, args.n, args.k
-        spec, inputs = _audit_spec(task, n, k)
+        spec, inputs = EXPLORE_TASKS[task](n, k)
         execset = _explore_execset_recorder(args, task, n, k, inputs)
         explorer = Explorer(
             spec,
@@ -430,7 +423,7 @@ def _explore_selfcheck(args) -> int:
     from repro.runtime.explorer import Explorer
 
     task, n, k = args.task, args.n, args.k
-    spec, inputs = _audit_spec(task, n, k)
+    spec, inputs = EXPLORE_TASKS[task](n, k)
     spec_meta = {"task": task, "n": n, "k": k}
 
     def build(recorder, **kwargs):
@@ -567,24 +560,12 @@ def cmd_diff(args) -> int:
     return int(report["exit_code"])
 
 
-def _audit_spec(task: str, n: int, k: int):
-    """Build the spec for an audit run alongside its input alphabet.
-
-    :data:`EXPLORE_TASKS` hides the inputs inside a closure; the orbit
-    estimator needs them as the value alphabet for canonicalization.
-    """
-    if task == "consensus":
-        inputs = [f"v{i}" for i in range(n)]
-        return consensus_spec(n, k, inputs), inputs
-    inputs = [f"v{i}" for i in range(FamilyMember(n, k).ports)]
-    return set_consensus_spec(n, k, inputs), inputs
-
-
 def cmd_audit(args) -> int:
     from repro.obs.audit import ledger_summary, render_table, run_audit
     from repro.obs.report import render_audit_html
 
-    spec, inputs = _audit_spec(args.task, args.n, args.k)
+    # The orbit estimator canonicalizes over the input alphabet.
+    spec, inputs = EXPLORE_TASKS[args.task](args.n, args.k)
     run_ledger.annotate(
         describe=(
             f"audit(task={args.task}, n={args.n}, k={args.k}, "
@@ -946,6 +927,23 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="total simulator-step budget for the whole command",
     )
+    # The O(n, k) instance an exploration runs (explore, audit).
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument(
+        "--task", choices=sorted(EXPLORE_TASKS), default="set-consensus"
+    )
+    instance.add_argument("--n", type=int, default=2)
+    instance.add_argument("--k", type=int, default=1)
+    instance.add_argument("--max-depth", type=int, default=60)
+    instance.add_argument(
+        "--max-crashes", type=int, default=0,
+        help="also branch on crashing up to F processes at every point",
+    )
+    instance.add_argument(
+        "--max-recoveries", type=int, default=0,
+        help="also branch on reviving up to R crashed processes with "
+        "amnesia (crash-recovery adversary)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     describe = sub.add_parser(
@@ -973,22 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore = sub.add_parser(
         "explore",
         help="enumerate executions (and crash timings) with checkpointing",
-        parents=[obs],
-    )
-    explore.add_argument(
-        "--task", choices=sorted(EXPLORE_TASKS), default="set-consensus"
-    )
-    explore.add_argument("--n", type=int, default=2)
-    explore.add_argument("--k", type=int, default=1)
-    explore.add_argument("--max-depth", type=int, default=60)
-    explore.add_argument(
-        "--max-crashes", type=int, default=0,
-        help="also branch on crashing up to F processes at every point",
-    )
-    explore.add_argument(
-        "--max-recoveries", type=int, default=0,
-        help="also branch on reviving up to R crashed processes with "
-        "amnesia (crash-recovery adversary)",
+        parents=[obs, instance],
     )
     explore.add_argument(
         "--checkpoint", metavar="FILE", default=None,
@@ -1026,22 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
         "audit",
         help="measure state-space redundancy: cache / DPOR / symmetry "
         "headroom for one instance",
-        parents=[obs],
-    )
-    audit.add_argument(
-        "--task", choices=sorted(EXPLORE_TASKS), default="set-consensus"
-    )
-    audit.add_argument("--n", type=int, default=2)
-    audit.add_argument("--k", type=int, default=1)
-    audit.add_argument("--max-depth", type=int, default=60)
-    audit.add_argument(
-        "--max-crashes", type=int, default=0,
-        help="also branch on crashing up to F processes at every point",
-    )
-    audit.add_argument(
-        "--max-recoveries", type=int, default=0,
-        help="also branch on reviving up to R crashed processes with "
-        "amnesia (crash-recovery adversary)",
+        parents=[obs, instance],
     )
     audit.add_argument(
         "--max-pairs", type=int, default=256, metavar="N",
@@ -1364,6 +1332,8 @@ def main(argv=None) -> int:
             budget=budget.describe() if budget is not None else None,
         )
     if serve_port is not None:
+        from repro.obs.live import serve as serve_live
+
         try:
             live = serve_live(
                 command=args.command,

@@ -26,15 +26,18 @@ Three constructions, in increasing scope:
   :func:`repro.core.power.family_agreement` (experiments E2/E5): whole
   rings of ``n(k+2)``, then a remainder that either ring-spreads (when
   ``r > n(k+1)``) or concentrates into n-consensus groups.
+
+:data:`EXPLORE_TASKS` names the first two as the instances the explorer
+runs, each with its input alphabet.
 """
 
 from __future__ import annotations
 
 from math import ceil
-from typing import Any, Generator, Sequence
+from typing import Any, Callable, Dict, Generator, List, Sequence, Tuple
 
 from repro.algorithms.helpers import build_spec
-from repro.core.family import HierarchyObjectSpec
+from repro.core.family import FamilyMember, HierarchyObjectSpec
 from repro.core.power import family_agreement
 from repro.runtime.ops import invoke
 from repro.runtime.system import SystemSpec
@@ -100,6 +103,26 @@ def set_consensus_spec(n: int, k: int, inputs: Sequence[Any]) -> SystemSpec:
         return decision
 
     return build_spec({"O": spec}, program, inputs)
+
+
+def _consensus_task(n: int, k: int) -> Tuple[SystemSpec, List[str]]:
+    inputs = [f"v{i}" for i in range(n)]
+    return consensus_spec(n, k, inputs), inputs
+
+
+def _set_consensus_task(n: int, k: int) -> Tuple[SystemSpec, List[str]]:
+    inputs = [f"v{i}" for i in range(FamilyMember(n, k).ports)]
+    return set_consensus_spec(n, k, inputs), inputs
+
+
+#: The named O(n, k) instances that ``repro explore``, ``repro audit`` and
+#: ``repro serve`` jobs run, and that execution sets and witnesses record
+#: as ``{"task", "n", "k"}``: task -> ``(n, k) -> (spec, input alphabet)``.
+#: Replays rebuild from this same table, so they rerun the explored system.
+EXPLORE_TASKS: Dict[str, Callable[[int, int], Tuple[SystemSpec, List[str]]]] = {
+    "set-consensus": _set_consensus_task,
+    "consensus": _consensus_task,
+}
 
 
 def partition_set_consensus_spec(

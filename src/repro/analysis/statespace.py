@@ -17,15 +17,16 @@ tools consume:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.analysis.commutativity import OpInstance, reachable_states
 from repro.errors import IllegalOperationError
 from repro.faults.verdict import Verdict
 from repro.obs import events as _obs_events
 from repro.objects.base import ObjectSpec
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: networkx refuses ``None`` as a node; states equal to ``None`` are
 #: represented by this sentinel in graphs (see :func:`node_for`).
@@ -46,6 +47,8 @@ def state_graph(
     """Labelled transition graph: nodes are reachable states, one edge per
     (operation, outcome) with ``op``/``response`` attributes.  Misuse
     branches are omitted (they end executions)."""
+    import networkx as nx
+
     states = reachable_states(spec, ops, max_states=max_states, truncate=truncate)
     if _obs_events.is_enabled():
         _obs_events.emit(
@@ -170,6 +173,8 @@ def summarize_state_space(
     truncate: bool = False,
 ) -> StateSpaceSummary:
     """Compute a :class:`StateSpaceSummary` for the object under ``ops``."""
+    import networkx as nx
+
     graph = state_graph(spec, ops, max_states=max_states, truncate=truncate)
     initial = node_for(spec.initial_state())
     lengths = nx.single_source_shortest_path_length(graph, initial)

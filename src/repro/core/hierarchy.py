@@ -6,18 +6,22 @@ data: per-level strictness witnesses (the arithmetic certificate of each
 separation) and :mod:`networkx` graphs of the implementability order, both
 for the O(n, k) family and for the classical (m, j)-set-consensus lattice
 it is measured against.
+
+networkx is imported inside the graph builders, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
-import networkx as nx
+from typing import TYPE_CHECKING, List
 
 from repro.core.family import FamilyMember
 from repro.core.power import SetConsensusPower, family_agreement
 from repro.core.theorem import is_implementable
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,8 @@ def family_hierarchy_graph(n: int, k_max: int) -> nx.DiGraph:
     than v*; family edges carry their :class:`HierarchyLevel` certificate
     in the ``witness`` attribute.
     """
+    import networkx as nx
+
     graph = nx.DiGraph(n=n)
     anchor_consensus = f"{n}-consensus"
     graph.add_node("registers", kind="anchor", consensus_number=1)
@@ -117,6 +123,8 @@ def set_consensus_lattice(max_m: int) -> nx.DiGraph:
     """Implementability digraph over all (m, j)-set-consensus classes with
     ``1 <= j < m <= max_m``; edge u -> v iff u implements v (reflexive
     edges omitted).  The paper's tool theorem decides every edge."""
+    import networkx as nx
+
     points = [
         SetConsensusPower(m, j)
         for m in range(2, max_m + 1)
@@ -135,6 +143,8 @@ def set_consensus_lattice(max_m: int) -> nx.DiGraph:
 def equivalence_classes(max_m: int) -> List[List[str]]:
     """Group the (m, j) points with ``m <= max_m`` into mutual-
     implementability classes (the hierarchy's actual rungs)."""
+    import networkx as nx
+
     graph = set_consensus_lattice(max_m)
     undirected_core = nx.DiGraph(
         (u, v) for u, v in graph.edges if graph.has_edge(v, u)

@@ -558,18 +558,12 @@ def _html_row(label: str, value_a: str, value_b: str, marker: str = "") -> str:
 def render_html(report: Dict[str, Any], title: str = "repro diff") -> str:
     """Standalone HTML report (same determinism contract as the table)."""
     from repro.obs.explain import LANES_CSS
-    from repro.obs.report import BASE_CSS
+    from repro.obs.report import page
 
     a, b = report["a"], report["b"]
     digest = report["digest"]
     verdict = report["verdict"]
     out: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{escape(title)}</title>",
-        f"<style>{BASE_CSS}{LANES_CSS}</style></head>",
-        "<body>",
-        f"<h1>{escape(title)}</h1>",
         f"<p>A: <code>{escape(str(a['label']))}</code><br>"
         f"B: <code>{escape(str(b['label']))}</code></p>",
         "<table>",
@@ -640,8 +634,7 @@ def render_html(report: Dict[str, Any], title: str = "repro diff") -> str:
         f"<p>exit: <strong>{code}</strong> "
         f"({escape(meanings.get(code, 'usage'))})</p>"
     )
-    out.append("</body></html>")
-    return "\n".join(out) + "\n"
+    return page(title, "\n".join(out), LANES_CSS)
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,7 @@ from html import escape
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import events as _events
+from repro.obs.report import page
 from repro.runtime.execution import Execution
 from repro.runtime.history import History, history_from_execution
 from repro.runtime.system import SystemSpec
@@ -531,14 +532,7 @@ def lanes_html(view: WitnessView, caption: str = "") -> str:
 def lanes_page(view: WitnessView, title: str = "witness lanes") -> str:
     """A standalone HTML page around :func:`lanes_html` (the ``--html``
     output of ``repro explain``)."""
-    return (
-        "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
-        f"<title>{escape(title)}</title>"
-        f"<style>{LANES_CSS}</style></head>\n<body>\n"
-        f"<h1>{escape(title)}</h1>\n"
-        + lanes_html(view)
-        + "\n</body></html>\n"
-    )
+    return page(title, lanes_html(view), LANES_CSS)
 
 
 # ----------------------------------------------------------------------
@@ -740,17 +734,11 @@ def run_explain(
     if html_out:
         from repro.fsutil import ensure_parent
 
-        body = "\n<hr>\n".join(pages)
-        page = (
-            "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
-            f"<title>repro explain — {escape(target)}</title>"
-            f"<style>{LANES_CSS}</style></head>\n<body>\n"
-            f"<h1>repro explain — {escape(target)}</h1>\n"
-            + body
-            + "\n</body></html>\n"
+        html = page(
+            f"repro explain — {target}", "\n<hr>\n".join(pages), LANES_CSS
         )
         with open(ensure_parent(html_out), "w", encoding="utf-8") as handle:
-            handle.write(page)
+            handle.write(html)
         out("")
         out(f"wrote HTML lane view to {html_out}")
     return 0

@@ -32,7 +32,9 @@ future submission.
 Everything the HTTP side needs is exposed as snapshots: job state under
 one lock, progress by tailing the worker's JSONL trace for
 ``explore_heartbeat`` events (:class:`TraceTail` — file reads only,
-never a lock a worker could hold).  See docs/SERVICE.md.
+never a lock a worker could hold).  The tail and the ``/jobs/<id>/events``
+SSE stream read the trace files through one :class:`TraceCursor`.  See
+docs/SERVICE.md.
 
 Causal tracing: every job also gets a daemon-side trace
 (``trace-daemon.jsonl``, written by :class:`JobTrace`) holding the spans
@@ -54,8 +56,9 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.algorithms.set_consensus_from_family import EXPLORE_TASKS
 from repro.faults.checkpoint import peek_checkpoint
 from repro.fsutil import ensure_parent
 from repro.obs import fingerprint as _fingerprint
@@ -108,10 +111,9 @@ class JobSpec:
 
 
 def known_tasks() -> List[str]:
-    """The task names a job may name — the CLI's own explore registry,
-    imported lazily so this module never circularly imports the CLI."""
-    from repro.__main__ import EXPLORE_TASKS
-
+    """The task names a job may name: the keys of
+    :data:`repro.algorithms.set_consensus_from_family.EXPLORE_TASKS`, the
+    registry ``repro explore`` builds its instances from."""
     return sorted(EXPLORE_TASKS)
 
 
@@ -164,6 +166,43 @@ def validate_spec(payload: Any) -> JobSpec:
     return spec
 
 
+#: Most bytes a :class:`TraceCursor` reads from a trace file at once.
+TRACE_CHUNK = 8 << 20
+
+
+class TraceCursor:
+    """Read position in a job's per-attempt ``trace-N.jsonl`` files.
+
+    :meth:`lines` yields the complete lines written since the last call,
+    in attempt order; a partial line mid-write stays for the next call.
+    The cursor moves to the next attempt's file only when the current
+    one yields nothing and a later one exists — the current file can no
+    longer grow then.
+    """
+
+    def __init__(self) -> None:
+        self._file_index = 0
+        self._offset = 0
+
+    def lines(self, paths: List[str]) -> Iterator[bytes]:
+        while self._file_index < len(paths):
+            try:
+                with open(paths[self._file_index], "rb") as handle:
+                    handle.seek(self._offset)
+                    chunk = handle.read(TRACE_CHUNK)
+            except OSError:
+                chunk = b""
+            end = chunk.rfind(b"\n")
+            if end >= 0:
+                self._offset += end + 1
+                yield from chunk[: end + 1].splitlines()
+            elif self._file_index + 1 < len(paths):
+                self._file_index += 1
+                self._offset = 0
+            else:
+                return
+
+
 class TraceTail:
     """Incremental reader over a job's per-attempt trace files.
 
@@ -182,59 +221,34 @@ class TraceTail:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._file_index = 0
-        self._offset = 0
+        self._cursor = TraceCursor()
         self.lines = 0
         self.heartbeat: Optional[Dict[str, Any]] = None
         self.last_checkpoint: Optional[Dict[str, Any]] = None
         self.interrupted: Optional[str] = None
 
-    def poll(self, paths: List[str], chunk_limit: int = 8 << 20) -> None:
+    def poll(self, paths: List[str]) -> None:
         """Consume new complete lines from ``paths`` (attempt order)."""
         with self._lock:
-            while self._file_index < len(paths):
-                path = paths[self._file_index]
-                consumed = self._consume(path, chunk_limit)
-                # Advance to the next attempt's file only once it exists —
-                # the current one can no longer grow then.
-                if consumed or self._file_index + 1 >= len(paths):
-                    break
-                self._file_index += 1
-                self._offset = 0
-
-    def _consume(self, path: str, chunk_limit: int) -> bool:
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(self._offset)
-                chunk = handle.read(chunk_limit)
-        except OSError:
-            return False
-        if not chunk:
-            return False
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return False  # a partial line mid-write; retry next poll
-        data, self._offset = chunk[: end + 1], self._offset + end + 1
-        for line in data.splitlines():
-            self.lines += 1
-            if not any(marker in line for marker in self._INTERESTING):
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            event = record.get("event")
-            record.pop("i", None)
-            record.pop("event", None)
-            if event == "explore_heartbeat":
-                self.heartbeat = record
-            elif event == "checkpoint_written":
-                self.last_checkpoint = record
-            elif event == "exploration_interrupted":
-                self.interrupted = str(record.get("reason", "interrupted"))
-        return True
+            for line in self._cursor.lines(paths):
+                self.lines += 1
+                if not any(marker in line for marker in self._INTERESTING):
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                if not isinstance(record, dict):
+                    continue
+                event = record.get("event")
+                record.pop("i", None)
+                record.pop("event", None)
+                if event == "explore_heartbeat":
+                    self.heartbeat = record
+                elif event == "checkpoint_written":
+                    self.last_checkpoint = record
+                elif event == "exploration_interrupted":
+                    self.interrupted = str(record.get("reason", "interrupted"))
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:

@@ -33,15 +33,17 @@ no new instrumentation points — and the exploration itself never blocks
 on a slow HTTP client (handlers run on daemon threads and only read
 snapshots under a lock).
 
-Lifecycle: :func:`serve` starts the server and subscribes the feeds;
-:meth:`LiveSession.close` unsubscribes, shuts the server down, and joins
-its threads — called from the CLI's ``finally``, it also runs on SIGINT.
+Lifecycle: :func:`serve` subscribes the feeds and starts an
+:class:`HTTPSession`; :meth:`HTTPSession.close` unsubscribes them, shuts
+the server down, and joins its thread — called from the CLI's
+``finally``, it also runs on SIGINT.
 
-The building blocks here are deliberately reusable: the multi-run
-``repro serve`` daemon (:mod:`repro.obs.service`) shares
-:class:`SnapshotHandler` (JSON/text responses with ``Cache-Control:
-no-store``), :class:`EventRing`, and :func:`parse_tail_count` rather
-than reimplementing them.
+The multi-run ``repro serve`` daemon (:mod:`repro.obs.service`) runs on
+the same :class:`HTTPSession` and :class:`SnapshotHandler` (JSON/text
+responses with ``Cache-Control: no-store``), and shares
+:class:`EventRing` and :func:`parse_tail_count`.  Each side adds only
+its own step before shutdown: the sidecar unsubscribes its bus feeds,
+the daemon drains its job manager.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import threading
 import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.faults.budget import get_active_budget
@@ -282,7 +284,7 @@ class SnapshotHandler(BaseHTTPRequestHandler):
 
 class _Handler(SnapshotHandler):
     """Routes /status, /metrics, /events.  The server instance carries
-    the board/registry/ring (set by :class:`LiveSession`)."""
+    the board/registry/ring (set by :func:`serve`)."""
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
         parsed = urlparse(self.path)
@@ -314,48 +316,49 @@ class _Handler(SnapshotHandler):
         return registry.render_prometheus()
 
 
-class LiveSession:
-    """A running live-telemetry server plus its bus subscriptions."""
+class HTTPSession:
+    """A running HTTP server: the ``--serve`` sidecar or the ``repro
+    serve`` daemon.
+
+    A :class:`ThreadingHTTPServer` whose handlers run on daemon threads,
+    served from one more daemon thread.  Each ``state`` item becomes an
+    attribute of both the session and the server, where ``handler``
+    reads it.  ``before_close`` runs first in :meth:`close`, while the
+    socket still answers.
+    """
 
     def __init__(
         self,
-        board: StatusBoard,
-        registry: _metrics.MetricsRegistry,
-        ring: EventRing,
-        host: str = "127.0.0.1",
-        port: int = 0,
+        handler: type,
+        host: str,
+        port: int,
+        before_close: Callable[[], None],
+        **state: Any,
     ):
-        self.board = board
-        self.ring = ring
-        self._server = ThreadingHTTPServer((host, port), _Handler)
+        vars(self).update(state)
+        self._before_close = before_close
+        self._server = ThreadingHTTPServer((host, port), handler)
         self._server.daemon_threads = True
-        self._server.board = board  # type: ignore[attr-defined]
-        self._server.registry = registry  # type: ignore[attr-defined]
-        self._server.ring = ring  # type: ignore[attr-defined]
+        vars(self._server).update(state)
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-live-server",
-            daemon=True,
+            target=self._server.serve_forever, name="repro-http", daemon=True
         )
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------
-    def start(self) -> "LiveSession":
-        _events.subscribe(self.board)
-        _events.subscribe(self.ring)
+    def start(self) -> "HTTPSession":
         self._thread.start()
         return self
 
     def close(self) -> None:
-        """Unsubscribe the feeds, stop serving, join the server thread.
+        """Run ``before_close``, stop serving, join the server thread.
 
         Idempotent; safe from a ``finally`` after SIGINT.
         """
         if self._closed:
             return
         self._closed = True
-        _events.unsubscribe(self.board)
-        _events.unsubscribe(self.ring)
+        self._before_close()
         self._server.shutdown()
         self._server.server_close()
         self._thread.join(timeout=5.0)
@@ -369,7 +372,7 @@ class LiveSession:
     def host(self) -> str:
         return self._server.server_address[0]
 
-    def url(self, path: str = "/status") -> str:
+    def url(self, path: str) -> str:
         return f"http://{self.host}:{self.port}{path}"
 
 
@@ -381,7 +384,7 @@ def serve(
     host: str = "127.0.0.1",
     registry: Optional[_metrics.MetricsRegistry] = None,
     ring_capacity: int = 2048,
-) -> LiveSession:
+) -> HTTPSession:
     """Start live telemetry for the current process; returns the session.
 
     ``port=0`` binds an ephemeral port (read it back from
@@ -389,11 +392,21 @@ def serve(
     it when the command finishes.
     """
     board = StatusBoard(command=command, argv=argv, run_id=run_id)
-    session = LiveSession(
-        board,
-        registry if registry is not None else _metrics.get_registry(),
-        EventRing(ring_capacity),
-        host=host,
-        port=port,
+    ring = EventRing(ring_capacity)
+
+    def unsubscribe() -> None:
+        _events.unsubscribe(board)
+        _events.unsubscribe(ring)
+
+    session = HTTPSession(
+        _Handler,
+        host,
+        port,
+        unsubscribe,
+        board=board,
+        registry=registry if registry is not None else _metrics.get_registry(),
+        ring=ring,
     )
+    _events.subscribe(board)
+    _events.subscribe(ring)
     return session.start()

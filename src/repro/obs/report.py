@@ -31,7 +31,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.obs.metrics import BUCKET_BOUNDS, Histogram, MetricsRegistry
 from repro.obs.profile import Profiler, SpanNode
 
-_CSS = """
+#: The stylesheet every page in the toolchain starts from (see
+#: :func:`page`), so they all share one visual language.
+BASE_CSS = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
        margin: 2rem auto; max-width: 60rem; color: #1a1a2e; }
 h1 { font-size: 1.4rem; } h2 { font-size: 1.1rem; margin-top: 2rem;
@@ -57,10 +59,17 @@ td.num, th.num { text-align: right; }
 .ok { color: #2e7d32; } .bad { color: #c62828; font-weight: 600; }
 """
 
-#: The report stylesheet, exported for other HTML surfaces (the
-#: ``repro serve`` dashboard) so every page in the toolchain shares one
-#: visual language.
-BASE_CSS = _CSS
+
+def page(title: str, body: str, css: str = "") -> str:
+    """The HTML page shell every page uses: a self-contained document
+    titled and headed ``title`` around ``body``, styled by
+    :data:`BASE_CSS` plus the page's own ``css``."""
+    return (
+        "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
+        f"<title>{escape(title)}</title>"
+        f"<style>{BASE_CSS}{css}</style></head>\n<body>\n"
+        f"<h1>{escape(title)}</h1>\n{body}\n</body></html>\n"
+    )
 
 
 def _fmt(value: float) -> str:
@@ -196,7 +205,6 @@ def render_audit_html(auditor: Any, title: str = "repro state-space audit") -> s
     """Standalone audit report (``repro audit --html``): the headroom
     table plus the per-depth revisit histogram, deterministic bytes."""
     summary = auditor.summary()
-    body: List[str] = [f"<h1>{escape(title)}</h1>"]
     rows: List[Tuple[str, str]] = [
         ("executions", f"{summary['executions']:,}"),
         ("configurations visited", f"{summary['configurations']:,}"),
@@ -214,8 +222,7 @@ def render_audit_html(auditor: Any, title: str = "repro state-space audit") -> s
             f"{summary['commuting_fraction']:.1%}",
         ),
     ]
-    body.append("<h2>Reduction headroom</h2>")
-    body.append("<table>")
+    body: List[str] = ["<h2>Reduction headroom</h2>", "<table>"]
     for label, value in rows:
         body.append(
             f"<tr><td>{escape(label)}</td>"
@@ -243,13 +250,7 @@ def render_audit_html(auditor: Any, title: str = "repro state-space audit") -> s
         "(state cache / DPOR / pid symmetry) — see docs/OBSERVABILITY.md, "
         "“State-space audit”.</p>"
     )
-    return (
-        "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
-        f"<title>{escape(title)}</title>"
-        f"<style>{_CSS}</style></head>\n<body>\n"
-        + "\n".join(body)
-        + "\n</body></html>\n"
-    )
+    return page(title, "\n".join(body))
 
 
 def _waterfall_section(profiler: Profiler, max_rows: int = 60) -> List[str]:
@@ -433,7 +434,7 @@ def render_html(
     gets a row in the witness table and, when its bundle file is still
     readable, an embedded HTML lane view.
     """
-    body: List[str] = [f"<h1>{escape(title)}</h1>"]
+    body: List[str] = []
     meta_bits: List[str] = []
     if sources:
         meta_bits.append("trace: " + ", ".join(sources))
@@ -450,19 +451,13 @@ def render_html(
     body.extend(_steps_tables_section(registry))
     body.extend(_distributions_section(registry))
     body.extend(_witness_section(list(witnesses or [])))
-    css = _CSS
+    css = ""
     if witnesses:
         # Lane-view styling ships with the explainer; pulled in lazily so
         # importing this module never drags in the runtime layer.
         from repro.obs.explain import LANES_CSS
 
-        css = _CSS + LANES_CSS
-    if len(body) <= 2:
+        css = LANES_CSS
+    if len(body) <= 1:
         body.append("<p>(no metrics recorded)</p>")
-    return (
-        "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
-        f"<title>{escape(title)}</title>"
-        f"<style>{css}</style></head>\n<body>\n"
-        + "\n".join(body)
-        + "\n</body></html>\n"
-    )
+    return page(title, "\n".join(body), css)

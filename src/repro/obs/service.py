@@ -51,16 +51,20 @@ Endpoints
 Handlers run on daemon threads and only ever read snapshots or files —
 never a lock a worker holds — so a slow dashboard cannot stall an
 exploration (the same guarantee ``--serve`` makes, scaled up).
+
+The daemon runs on the sidecar's :class:`~repro.obs.live.HTTPSession`
+and :class:`~repro.obs.live.SnapshotHandler`; what it adds is its route
+set (:class:`ServiceHandler`) and draining the job manager before the
+server shuts down.  The SSE stream reads the worker traces through the
+same :class:`~repro.obs.jobs.TraceCursor` that feeds job progress.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from html import escape
-from http.server import ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -69,9 +73,14 @@ from repro.obs import explain as _explain
 from repro.obs import ledger as _ledger
 from repro.obs import trace_view as _trace_view
 from repro.obs import witness as _witness
-from repro.obs.jobs import FINAL_STATES, JobManager
-from repro.obs.live import EventRing, SnapshotHandler, parse_tail_count
-from repro.obs.report import BASE_CSS
+from repro.obs.jobs import FINAL_STATES, JobManager, TraceCursor
+from repro.obs.live import (
+    EventRing,
+    HTTPSession,
+    SnapshotHandler,
+    parse_tail_count,
+)
+from repro.obs.report import page
 
 #: How long a followed SSE stream sleeps between trace polls.
 SSE_POLL_INTERVAL = 0.25
@@ -274,8 +283,7 @@ def render_service_metrics(manager: JobManager, ring: EventRing) -> str:
 # Dashboard
 # ----------------------------------------------------------------------
 _DASH_CSS = (
-    BASE_CSS
-    + _trace_view.WATERFALL_CSS
+    _trace_view.WATERFALL_CSS
     + """
 .state-queued { color: #777; } .state-running { color: #1565c0; }
 .state-done { color: #2e7d32; } .state-error { color: #c62828; }
@@ -327,11 +335,6 @@ def render_dashboard(manager: JobManager, ring: EventRing) -> str:
     witnesses = _list_witnesses(manager.witness_dir)
     states, _ = manager.counts()
     parts: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        "<title>repro serve</title>",
-        f"<style>{_DASH_CSS}</style></head><body>",
-        "<h1>repro serve</h1>",
         '<p class="muted">'
         + escape(
             ", ".join(f"{count} {state}" for state, count in sorted(states.items()) if count)
@@ -415,8 +418,7 @@ def render_dashboard(manager: JobManager, ring: EventRing) -> str:
         '<p class="muted">Live snapshot — refresh for updates. '
         "See docs/SERVICE.md for the full API.</p>"
     )
-    parts.append("</body></html>")
-    return "\n".join(parts) + "\n"
+    return page("repro serve", "\n".join(parts), _DASH_CSS)
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +426,7 @@ def render_dashboard(manager: JobManager, ring: EventRing) -> str:
 # ----------------------------------------------------------------------
 class ServiceHandler(SnapshotHandler):
     """Routes the service API.  The server object carries the manager
-    and the daemon's own event ring (set by :class:`ServiceSession`)."""
+    and the daemon's own event ring (set by :func:`serve_service`)."""
 
     server_version = "repro-serve/1"
 
@@ -442,6 +444,10 @@ class ServiceHandler(SnapshotHandler):
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = 0
+        if length < 0:
+            # rfile.read(-1) would block until the client closes.
+            self._send_json_error(400, "Content-Length must not be negative")
+            return
         try:
             payload = json.loads(self.rfile.read(length) or b"{}")
         except ValueError:
@@ -603,7 +609,7 @@ class ServiceHandler(SnapshotHandler):
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-store")
         self.end_headers()
-        file_index, offset = 0, 0
+        cursor = TraceCursor()
         deadline = time.monotonic() + SSE_MAX_FOLLOW
         while True:
             snapshot = self.manager.job_snapshot(job_id) or {}
@@ -611,19 +617,9 @@ class ServiceHandler(SnapshotHandler):
                 os.path.join(snapshot.get("job_dir", ""), f"trace-{a}.jsonl")
                 for a in range(1, snapshot.get("attempts", 0) + 1)
             ]
-            progressed = True
-            while progressed:
-                progressed = False
-                if file_index < len(traces):
-                    lines, offset = self._read_lines(traces[file_index], offset)
-                    for line in lines:
-                        self.wfile.write(b"data: " + line + b"\n\n")
-                        progressed = True
-                    if not lines and file_index + 1 < len(traces):
-                        file_index, offset = file_index + 1, 0
-                        progressed = True
-                if progressed:
-                    self.wfile.flush()
+            for line in cursor.lines(traces):
+                self.wfile.write(b"data: " + line + b"\n\n")
+            self.wfile.flush()
             final = snapshot.get("state") in FINAL_STATES
             if not follow or final or time.monotonic() > deadline:
                 self.wfile.write(
@@ -640,79 +636,10 @@ class ServiceHandler(SnapshotHandler):
                 return
             time.sleep(SSE_POLL_INTERVAL)
 
-    @staticmethod
-    def _read_lines(path: str, offset: int) -> Tuple[List[bytes], int]:
-        """New complete lines of ``path`` past ``offset`` (and the new
-        offset) — a partial line mid-write is left for the next poll."""
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read(4 << 20)
-        except OSError:
-            return [], offset
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return [], offset
-        return chunk[: end + 1].splitlines(), offset + end + 1
-
 
 # ----------------------------------------------------------------------
 # Lifecycle
 # ----------------------------------------------------------------------
-class ServiceSession:
-    """A running ``repro serve`` daemon: HTTP server plus job manager."""
-
-    def __init__(
-        self,
-        manager: JobManager,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        ring_capacity: int = 2048,
-    ):
-        self.manager = manager
-        self.ring = EventRing(ring_capacity)
-        self._server = ThreadingHTTPServer((host, port), ServiceHandler)
-        self._server.daemon_threads = True
-        self._server.manager = manager  # type: ignore[attr-defined]
-        self._server.ring = self.ring  # type: ignore[attr-defined]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-serve-http",
-            daemon=True,
-        )
-        self._closed = False
-
-    def start(self) -> "ServiceSession":
-        self._thread.start()
-        return self
-
-    def close(self, drain_timeout: float = 15.0) -> None:
-        """Drain the job manager, then stop the HTTP server.  Idempotent.
-
-        Order matters: draining first means a client polling ``/jobs``
-        watches its jobs flip to INTERRUPTED before the socket dies.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self.manager.drain(timeout=drain_timeout)
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5.0)
-
-    # -- addressing ----------------------------------------------------
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def host(self) -> str:
-        return self._server.server_address[0]
-
-    def url(self, path: str = "/") -> str:
-        return f"http://{self.host}:{self.port}{path}"
-
-
 def serve_service(
     data_dir: str,
     host: str = "127.0.0.1",
@@ -720,11 +647,13 @@ def serve_service(
     max_workers: int = 2,
     max_retries: int = 2,
     worker_prefix: Optional[List[str]] = None,
-) -> ServiceSession:
+) -> HTTPSession:
     """Start the daemon; returns the session (caller must ``close()``).
 
     ``port=0`` binds an ephemeral port, read back from ``session.port``.
-    ``worker_prefix`` overrides the worker command for tests.
+    ``worker_prefix`` overrides the worker command for tests.  Closing
+    drains the job manager before the server stops: a client polling
+    ``/jobs`` watches its jobs flip to INTERRUPTED before the socket dies.
     """
     manager = JobManager(
         data_dir,
@@ -732,4 +661,11 @@ def serve_service(
         max_retries=max_retries,
         worker_prefix=worker_prefix,
     )
-    return ServiceSession(manager, host=host, port=port).start()
+    return HTTPSession(
+        ServiceHandler,
+        host,
+        port,
+        manager.drain,
+        manager=manager,
+        ring=EventRing(),
+    ).start()

@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import events as _events
 from repro.obs import ledger as _ledger
-from repro.obs.report import BASE_CSS
+from repro.obs.report import page
 
 #: First line of the flat JSONL export.
 STITCHED_FORMAT = "repro-stitched-trace/1"
@@ -455,15 +455,7 @@ def waterfall_section(trace: StitchedTrace, max_rows: int = 120) -> str:
 
 def waterfall_page(trace: StitchedTrace, title: str) -> str:
     """A standalone, dependency-free HTML page around the waterfall."""
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">\n'
-        f"<title>{escape(title)}</title>\n"
-        f"<style>{BASE_CSS}{WATERFALL_CSS}</style></head><body>\n"
-        f"<h1>{escape(title)}</h1>\n"
-        + waterfall_section(trace)
-        + "\n</body></html>\n"
-    )
+    return page(title, waterfall_section(trace), WATERFALL_CSS)
 
 
 # ----------------------------------------------------------------------

@@ -198,18 +198,16 @@ def replay_witness(record: Dict[str, Any], spec: SystemSpec) -> Execution:
 # ----------------------------------------------------------------------
 # Spec and predicate provenance registries
 # ----------------------------------------------------------------------
-def _spec_set_consensus(n: int, k: int, **_ignored: Any) -> SystemSpec:
-    from repro.algorithms.set_consensus_from_family import set_consensus_spec
-    from repro.core.family import FamilyMember
+def _spec_explore_task(task: str) -> Callable[..., SystemSpec]:
+    """The builder for an explore task: the same table ``repro explore``
+    builds its instance from, so a replay reruns the explored system."""
 
-    ports = FamilyMember(int(n), int(k)).ports
-    return set_consensus_spec(int(n), int(k), [f"v{i}" for i in range(ports)])
+    def build(n: int, k: int, **_ignored: Any) -> SystemSpec:
+        from repro.algorithms.set_consensus_from_family import EXPLORE_TASKS
 
+        return EXPLORE_TASKS[task](int(n), int(k))[0]
 
-def _spec_consensus(n: int, k: int, **_ignored: Any) -> SystemSpec:
-    from repro.algorithms.set_consensus_from_family import consensus_spec
-
-    return consensus_spec(int(n), int(k), [f"v{i}" for i in range(int(n))])
+    return build
 
 
 def _spec_partition_n_consensus(
@@ -235,8 +233,8 @@ def _spec_announce_election(
 #: are passed as keyword arguments.  Extend with
 #: :func:`register_spec_builder` for project-specific systems.
 SPEC_BUILDERS: Dict[str, Callable[..., SystemSpec]] = {
-    "set-consensus": _spec_set_consensus,
-    "consensus": _spec_consensus,
+    "set-consensus": _spec_explore_task("set-consensus"),
+    "consensus": _spec_explore_task("consensus"),
     "n-consensus-partition": _spec_partition_n_consensus,
     "announce-election": _spec_announce_election,
 }

@@ -1,9 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.__main__ import main
 
 
@@ -481,3 +485,22 @@ class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestStartup:
+    def test_cli_import_loads_no_networkx_or_http_server(self):
+        """Every serve worker and explore run starts a fresh interpreter:
+        importing the CLI must not pay for the graph library or the HTTP
+        server, which only the hierarchy graphs and --serve use."""
+        probe = (
+            "import sys, repro.__main__; "
+            "print(sorted({'networkx', 'http.server'} & set(sys.modules)))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "[]"

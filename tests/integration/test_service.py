@@ -12,6 +12,8 @@ import json
 import os
 import re
 import signal
+import socket
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -277,6 +279,16 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+        # A negative Content-Length must be refused before the body is
+        # read, not block the handler until the client hangs up.
+        with socket.create_connection(
+            (session.host, session.port), timeout=5
+        ) as conn:
+            conn.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: -1\r\n\r\n{}"
+            )
+            assert conn.recv(64).startswith(b"HTTP/1.0 400")
         assert get_json(session.url("/jobs"))["jobs"] == []
 
     def test_unknown_routes_and_jobs_are_404(self, session):
@@ -357,6 +369,42 @@ class TestEndpoints:
         assert any(e.get("event") == "schedule_explored" for e in events)
         assert "event: end" in body
         assert json.loads(data_lines[-1][len("data: "):])["verdict"] == "proved"
+
+    def test_sse_dump_streams_every_attempt_in_order(self, tmp_path):
+        """A crashed first attempt and its retry: the stream carries
+        trace-1.jsonl's lines, then trace-2.jsonl's, then the end event."""
+        worker = (
+            "import json, sys\n"
+            "path = sys.argv[sys.argv.index('--trace-out') + 1]\n"
+            "attempt = int(path.rsplit('-', 1)[1].split('.')[0])\n"
+            "with open(path, 'w') as handle:\n"
+            "    for i in range(3):\n"
+            "        handle.write(json.dumps({'attempt': attempt, 'i': i}) + '\\n')\n"
+            "sys.exit(9 if attempt == 1 else 0)\n"
+        )
+        session = serve_service(
+            str(tmp_path / "data"),
+            max_workers=1,
+            worker_prefix=[sys.executable, "-c", worker],
+        )
+        try:
+            _status, job = post_json(session.url("/jobs"), {"task": "consensus"})
+            assert wait_final(session, job["id"])["attempts"] == 2
+            _status, body, _headers = get(
+                session.url(f"/jobs/{job['id']}/events?follow=0")
+            )
+        finally:
+            session.close()
+        data = [
+            json.loads(line[len("data: "):])
+            for line in body.splitlines()
+            if line.startswith("data: ")
+        ]
+        assert [(e["attempt"], e["i"]) for e in data[:-1]] == [
+            (attempt, i) for attempt in (1, 2) for i in range(3)
+        ]
+        assert body.rstrip().splitlines()[-2] == "event: end"
+        assert data[-1] == {"state": "done", "verdict": "proved"}
 
     def test_trace_endpoint_formats(self, session):
         final = self.finished_job(session)

@@ -12,6 +12,7 @@ from repro.algorithms.set_consensus_from_family import consensus_spec
 from repro.obs import events
 from repro.obs.live import EventRing, StatusBoard, serve
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.service import serve_service
 from repro.runtime.explorer import Explorer
 
 
@@ -35,7 +36,7 @@ def get_json(url):
 
 def live_threads():
     return [
-        t for t in threading.enumerate() if t.name.startswith("repro-live")
+        t for t in threading.enumerate() if t.name.startswith("repro-http")
     ]
 
 
@@ -117,9 +118,23 @@ class TestEndpoints:
         finally:
             session.close()
 
-    def test_close_is_idempotent_and_leaves_no_threads(self):
+    @pytest.mark.parametrize(
+        "start",
+        [
+            lambda tmp_path: serve(
+                command="t", argv=[], registry=MetricsRegistry()
+            ),
+            lambda tmp_path: serve_service(
+                str(tmp_path / "data"), max_workers=1
+            ),
+        ],
+        ids=["sidecar", "daemon"],
+    )
+    def test_close_is_idempotent_and_leaves_no_threads(self, start, tmp_path):
+        """The --serve sidecar and the repro serve daemon share one
+        session; closing either stops every thread it started."""
         before = threading.active_count()
-        session = serve(command="t", argv=[], registry=MetricsRegistry())
+        session = start(tmp_path)
         assert live_threads()
         session.close()
         session.close()
